@@ -20,6 +20,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "Internal";
     case StatusCode::kParseError:
       return "ParseError";
+    case StatusCode::kFailedPrecondition:
+      return "FailedPrecondition";
   }
   return "Unknown";
 }

@@ -25,6 +25,9 @@ enum class StatusCode {
   kUnimplemented,
   kInternal,
   kParseError,
+  /// Refused because of the target's current state (e.g. replacing a
+  /// pinned segment); retrying once that state changes may succeed.
+  kFailedPrecondition,
 };
 
 /// Returns a short human-readable name for a status code ("OK", "NotFound"...).
@@ -60,6 +63,9 @@ class Status {
   }
   static Status ParseError(std::string msg) {
     return Status(StatusCode::kParseError, std::move(msg));
+  }
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -250,8 +250,10 @@ class ColumnVector {
   };
 
   /// Detaches a private payload copy before mutation if the payload is
-  /// shared. Mutation is single-threaded by construction (morsel workers only
-  /// read shared columns), so plain use_count suffices.
+  /// shared. COW copies of one payload reach many threads (morsel workers,
+  /// concurrent batches served from the shared segment cache); they must be
+  /// read through the const accessors. Only a caller that owns its column
+  /// alone may call a mutating accessor, so plain use_count suffices.
   Payload* Mutable() {
     if (data_.use_count() != 1) data_ = std::make_shared<Payload>(*data_);
     return data_.get();

@@ -35,8 +35,8 @@ Status MatStore::PutLocked(uint64_t key, ColumnBatch segment) {
   if (e.pins > 0) {
     // Replacing the batch in place would yank it out from under live
     // PinnedSegment leases, whose contract is a stable batch().
-    return Status::Internal("Put would replace pinned segment E" +
-                            std::to_string(key));
+    return Status::FailedPrecondition("Put would replace pinned segment E" +
+                                      std::to_string(key));
   }
   if (e.resident) bytes_used_ -= e.bytes;
   if (!e.spill_path.empty()) {

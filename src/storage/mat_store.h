@@ -135,8 +135,9 @@ class MatStore {
   MatStore& operator=(const MatStore&) = delete;
 
   /// Inserts or replaces the segment for `key`, then enforces the budget
-  /// (which may spill this segment or others). Fails on spill I/O errors
-  /// and on replacing a segment that is currently pinned.
+  /// (which may spill this segment or others). Fails with
+  /// kFailedPrecondition, storing nothing, when `key` is currently pinned
+  /// (a pin's batch() must stay stable); spill I/O errors are kInternal.
   Status Put(uint64_t key, ColumnBatch segment);
 
   /// Inserts the segment only when `key` is absent — the first writer wins,

@@ -33,6 +33,10 @@ TEST(StatusTest, AllFactoryCodes) {
   EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
   EXPECT_EQ(Status::ParseError("x").code(), StatusCode::kParseError);
+  EXPECT_EQ(Status::FailedPrecondition("x").code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(Status::FailedPrecondition("x").ToString(),
+            "FailedPrecondition: x");
 }
 
 TEST(ResultTest, HoldsValue) {

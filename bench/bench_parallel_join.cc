@@ -1,7 +1,7 @@
 // Thread-scaling of the parallel hash join and the pipelined engine.
 //
 // Two surfaces, both swept over 1/2/4/hardware-max threads:
-//   1. kernel: HashJoinBatch on lineitem ⋈ orders (partitioned parallel
+//   1. kernel: HashJoinBatch on lineitem ⋈ orders (parallel CSR
 //      build + morsel-parallel probe) — the isolated operator curve;
 //   2. engine: the consolidated TPC-D Q9 batch on the vectorized backend —
 //      join build/probe and aggregation pipelines end-to-end, the

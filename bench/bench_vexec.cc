@@ -151,10 +151,14 @@ VecPipeline JoinPipeline(const ColumnBatch& source,
   pipe.keep_idx = {0, 1};
   pipe.chunk_names = source.names;
   std::vector<ColumnRef> out_names = source.names;
-  for (const auto& n : table->build().names) out_names.push_back(n);
+  std::vector<int> build_out;
+  for (size_t i = 0; i < table->build().names.size(); ++i) {
+    build_out.push_back(static_cast<int>(i));
+    out_names.push_back(table->build().names[i]);
+  }
   pipe.ops.push_back(std::make_unique<ProbeChunkOp>(
       std::move(table), std::vector<int>{0}, std::vector<int>{0, 1},
-      std::move(out_names)));
+      std::move(build_out), std::move(out_names)));
   return pipe;
 }
 

@@ -39,6 +39,19 @@ inline uint64_t HashDouble(double d) {
   return bits;
 }
 
+/// Avalanche finalizer (MurmurHash3 fmix64): every input bit affects every
+/// output bit. Apply it before taking low bits of a combined hash as a
+/// bucket, partition or filter position — HashDouble of an integer leaves
+/// the low mantissa bits zero, and HashCombine does not spread them.
+inline uint64_t MixHash64(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
 }  // namespace mqo
 
 #endif  // MQO_COMMON_HASH_H_

@@ -1,6 +1,7 @@
 #include "vexec/join_table.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/hash.h"
 
@@ -17,74 +18,104 @@ size_t NextPow2(size_t n) {
   return p;
 }
 
-/// Key hashes for rows [begin, end), written to `out[r]`. The per-column
-/// type dispatch is hoisted out of the row loop, so each column contributes
-/// one flat pass over its contiguous payload.
-void HashKeyRange(const ColumnBatch& batch, const std::vector<int>& cols,
-                  uint32_t begin, uint32_t end, uint64_t* out) {
-  for (uint32_t r = begin; r < end; ++r) out[r] = kJoinHashSeed;
-  for (int c : cols) {
-    const ColumnVector& col = batch.columns[c];
-    switch (col.type()) {
-      case VecType::kInt64: {
-        if (col.for_encoded()) {
-          // Unpack-and-mix kernel: decode one block of packed deltas into a
-          // stack buffer, then mix with a flat loop over contiguous values —
-          // the same SIMD-friendly shape as the plain path, and bit-identical
-          // hashes (build sides can be zero-copy encoded scan views).
-          const ForColumn& fc = *col.for_column();
-          int64_t buf[kForBlockRows];
-          uint32_t r = begin;
-          while (r < end) {
-            const uint32_t re = std::min<uint32_t>(
-                end, static_cast<uint32_t>(
-                         (r / kForBlockRows + 1) * kForBlockRows));
-            fc.Unpack(r, re, buf);
-            const uint32_t n = re - r;
-            for (uint32_t j = 0; j < n; ++j) {
-              const double d = static_cast<double>(buf[j]);
-              out[r + j] =
-                  HashCombine(out[r + j], HashDouble(d == 0.0 ? 0.0 : d));
-            }
-            r = re;
-          }
-          break;
-        }
-        const int64_t* v = col.ints().data();
-        for (uint32_t r = begin; r < end; ++r) {
-          const double d = static_cast<double>(v[r]);
-          out[r] = HashCombine(out[r], HashDouble(d == 0.0 ? 0.0 : d));
-        }
-        break;
+/// Canonical hash of a numeric key: -0.0 folds into 0.0 because key
+/// equality compares with == while HashDouble hashes bit patterns.
+inline uint64_t HashNumber(double d) { return HashDouble(d == 0.0 ? 0.0 : d); }
+
+/// One key column's cells over a row range [begin, end) as a flat typed
+/// array indexed from the range start: plain payloads point into the
+/// column, FOR-encoded blocks are unpacked once into caller-owned storage.
+struct KeySpan {
+  enum class Kind : uint8_t { kInt, kDouble, kCode, kCell };
+  Kind kind = Kind::kCell;
+  const int64_t* ints = nullptr;     ///< kInt.
+  const double* doubles = nullptr;   ///< kDouble.
+  const int32_t* codes = nullptr;    ///< kCode: dictionary codes.
+  const ColumnVector* col = nullptr;
+  uint32_t begin = 0;
+};
+
+/// Views rows [begin, end) of `col`. `decoded` receives the values of a
+/// FOR-encoded column and must hold end - begin slots.
+KeySpan LoadKeySpan(const ColumnVector& col, uint32_t begin, uint32_t end,
+                    int64_t* decoded) {
+  KeySpan span;
+  span.col = &col;
+  span.begin = begin;
+  switch (col.type()) {
+    case VecType::kInt64:
+      span.kind = KeySpan::Kind::kInt;
+      if (col.for_encoded()) {
+        col.for_column()->Unpack(begin, end, decoded);
+        span.ints = decoded;
+      } else {
+        span.ints = col.ints().data() + begin;
       }
-      case VecType::kDouble: {
-        const double* v = col.doubles().data();
-        for (uint32_t r = begin; r < end; ++r) {
-          out[r] = HashCombine(out[r], HashDouble(v[r] == 0.0 ? 0.0 : v[r]));
-        }
-        break;
+      break;
+    case VecType::kDouble:
+      span.kind = KeySpan::Kind::kDouble;
+      span.doubles = col.doubles().data() + begin;
+      break;
+    case VecType::kString:
+      if (col.dict_encoded()) {
+        span.kind = KeySpan::Kind::kCode;
+        span.codes = col.codes().data() + begin;
       }
-      case VecType::kString: {
-        if (col.dict_encoded()) {
-          const int32_t* codes = col.codes().data();
-          const uint64_t* hashes = col.dict()->hashes.data();
-          for (uint32_t r = begin; r < end; ++r) {
-            out[r] = HashCombine(out[r], hashes[codes[r]]);
-          }
-        } else {
-          for (uint32_t r = begin; r < end; ++r) {
-            out[r] = HashCombine(out[r], col.HashCell(r));
-          }
-        }
-        break;
+      break;
+  }
+  return span;
+}
+
+/// Mixes `n` cells of `span` into the running hashes `h[0 .. n)`: one flat
+/// loop per physical form, the type dispatch hoisted out of the row loop.
+void MixKeySpan(const KeySpan& span, uint32_t n, uint64_t* h) {
+  switch (span.kind) {
+    case KeySpan::Kind::kInt:
+      for (uint32_t j = 0; j < n; ++j) {
+        h[j] = HashCombine(h[j], HashNumber(static_cast<double>(span.ints[j])));
       }
+      break;
+    case KeySpan::Kind::kDouble:
+      for (uint32_t j = 0; j < n; ++j) {
+        h[j] = HashCombine(h[j], HashNumber(span.doubles[j]));
+      }
+      break;
+    case KeySpan::Kind::kCode: {
+      const uint64_t* hashes = span.col->dict()->hashes.data();
+      for (uint32_t j = 0; j < n; ++j) {
+        h[j] = HashCombine(h[j], hashes[span.codes[j]]);
+      }
+      break;
     }
+    case KeySpan::Kind::kCell:
+      for (uint32_t j = 0; j < n; ++j) {
+        h[j] = HashCombine(h[j], span.col->HashCell(span.begin + j));
+      }
+      break;
   }
 }
 
-/// Key hashes for the selected rows, written to `out[j]` for `sel[j]`. Same
-/// hoisted-dispatch shape as HashKeyRange, indirected through the selection
-/// vector.
+/// Finalized key hashes for rows [begin, end), written to `out[r - begin]`.
+/// `decoded[c]` (null = column c is not FOR-encoded) receives key column
+/// c's decoded values over the range; `spans`, when non-null, receives the
+/// typed views the probe kernel compares keys through.
+void HashKeyRange(const ColumnBatch& batch, const std::vector<int>& cols,
+                  uint32_t begin, uint32_t end, int64_t* const* decoded,
+                  uint64_t* out, KeySpan* spans = nullptr) {
+  const uint32_t n = end - begin;
+  for (uint32_t j = 0; j < n; ++j) out[j] = kJoinHashSeed;
+  for (size_t c = 0; c < cols.size(); ++c) {
+    const KeySpan span =
+        LoadKeySpan(batch.columns[cols[c]], begin, end, decoded[c]);
+    MixKeySpan(span, n, out);
+    if (spans != nullptr) spans[c] = span;
+  }
+  for (uint32_t j = 0; j < n; ++j) out[j] = MixHash64(out[j]);
+}
+
+/// Finalized key hashes for the selected rows, written to `out[j]` for
+/// `sel[j]`. Same per-column dispatch as HashKeyRange, indirected through
+/// the selection vector.
 void HashKeySel(const ColumnBatch& batch, const std::vector<int>& cols,
                 const uint32_t* sel, size_t n, uint64_t* out) {
   for (size_t j = 0; j < n; ++j) out[j] = kJoinHashSeed;
@@ -96,23 +127,22 @@ void HashKeySel(const ColumnBatch& batch, const std::vector<int>& cols,
           // Selected rows are sparse; per-row decode beats block unpacking.
           const ForColumn& fc = *col.for_column();
           for (size_t j = 0; j < n; ++j) {
-            const double d = static_cast<double>(fc.ValueAt(sel[j]));
-            out[j] = HashCombine(out[j], HashDouble(d == 0.0 ? 0.0 : d));
+            out[j] = HashCombine(
+                out[j], HashNumber(static_cast<double>(fc.ValueAt(sel[j]))));
           }
           break;
         }
         const int64_t* v = col.ints().data();
         for (size_t j = 0; j < n; ++j) {
-          const double d = static_cast<double>(v[sel[j]]);
-          out[j] = HashCombine(out[j], HashDouble(d == 0.0 ? 0.0 : d));
+          out[j] =
+              HashCombine(out[j], HashNumber(static_cast<double>(v[sel[j]])));
         }
         break;
       }
       case VecType::kDouble: {
         const double* v = col.doubles().data();
         for (size_t j = 0; j < n; ++j) {
-          const double d = v[sel[j]];
-          out[j] = HashCombine(out[j], HashDouble(d == 0.0 ? 0.0 : d));
+          out[j] = HashCombine(out[j], HashNumber(v[sel[j]]));
         }
         break;
       }
@@ -132,6 +162,7 @@ void HashKeySel(const ColumnBatch& batch, const std::vector<int>& cols,
       }
     }
   }
+  for (size_t j = 0; j < n; ++j) out[j] = MixHash64(out[j]);
 }
 
 }  // namespace
@@ -140,7 +171,7 @@ uint64_t JoinKeyHash(const ColumnBatch& batch, const std::vector<int>& cols,
                      uint32_t row) {
   uint64_t h = kJoinHashSeed;
   for (int c : cols) h = HashCombine(h, batch.columns[c].HashCell(row));
-  return h;
+  return MixHash64(h);
 }
 
 size_t BloomRefineSel(const ColumnBatch& batch, const std::vector<int>& keys,
@@ -149,22 +180,27 @@ size_t BloomRefineSel(const ColumnBatch& batch, const std::vector<int>& keys,
   const size_t n = sel->size();
   if (n == 0) return 0;
   uint32_t* s = sel->data();
-  std::vector<uint64_t> hashes(n);
-  HashKeySel(batch, keys, s, n, hashes.data());
-  const double lo = bloom.min_key();
-  const double hi = bloom.max_key();
-  const ColumnVector* range_col =
-      use_range ? &batch.columns[keys[0]] : nullptr;
-  size_t k = 0;
-  for (size_t j = 0; j < n; ++j) {
-    const uint32_t i = s[j];
-    bool keep = bloom.MayContain(hashes[j]);
-    if (keep && range_col != nullptr) {
-      const double v = range_col->Number(i);
-      keep = v >= lo && v <= hi;
+  size_t m = n;
+  if (use_range) {
+    // The range test is cheaper than hashing: it runs first, so only rows
+    // inside the build's key range are hashed.
+    const ColumnVector& col = batch.columns[keys[0]];
+    const double lo = bloom.min_key();
+    const double hi = bloom.max_key();
+    m = 0;
+    for (size_t j = 0; j < n; ++j) {
+      const uint32_t i = s[j];
+      const double v = col.Number(i);
+      s[m] = i;
+      m += v >= lo && v <= hi ? 1 : 0;
     }
-    s[k] = i;
-    k += keep ? 1 : 0;
+  }
+  std::vector<uint64_t> hashes(m);
+  HashKeySel(batch, keys, s, m, hashes.data());
+  size_t k = 0;
+  for (size_t j = 0; j < m; ++j) {
+    s[k] = s[j];
+    k += bloom.MayContain(hashes[j]) ? 1 : 0;
   }
   sel->resize(k);
   return n - k;
@@ -265,26 +301,42 @@ JoinHashTable JoinHashTable::Build(ColumnBatch build,
   table.key_cols_ = std::move(key_cols);
   const size_t num_rows = table.build_.num_rows;
   const int threads = options.num_threads;
+  const size_t num_keys = table.key_cols_.size();
+
+  // FOR-encoded key columns decode once, while hashing, into the table's
+  // own copy; plain columns compare in place.
+  table.decoded_keys_.resize(num_keys);
+  std::vector<int64_t*> decoded(num_keys, nullptr);
+  for (size_t c = 0; c < num_keys; ++c) {
+    if (table.build_.columns[table.key_cols_[c]].for_encoded()) {
+      table.decoded_keys_[c].resize(num_rows);
+      decoded[c] = table.decoded_keys_[c].data();
+    }
+  }
 
   // Phase 1: per-row key hashes, morsel-parallel (each worker owns its
-  // morsel's slots of the shared array).
+  // morsel's slots of the shared arrays).
   std::vector<uint64_t> hashes(num_rows);
   ParallelOverMorsels(
       MakeMorsels(num_rows,
                   ResolveMorselRows(num_rows, threads, options.morsel_rows)),
       threads,
       [&](size_t, const Morsel& morsel) {
+        std::vector<int64_t*> dst(num_keys, nullptr);
+        for (size_t c = 0; c < num_keys; ++c) {
+          if (decoded[c] != nullptr) dst[c] = decoded[c] + morsel.begin;
+        }
         HashKeyRange(table.build_, table.key_cols_, morsel.begin, morsel.end,
-                     hashes.data());
+                     dst.data(), hashes.data() + morsel.begin);
       });
 
   // Publish the Bloom filter (sideways information passing): probe-side
   // pipelines can reject rows whose key hash is absent before the probe op
   // runs. For a single numeric key, also publish the key range so probes
   // can skip whole morsels on a zone min/max check.
-  if (!table.key_cols_.empty()) {
+  if (num_keys > 0) {
     auto bloom = JoinBloomFilter::Build(hashes);
-    if (table.key_cols_.size() == 1) {
+    if (num_keys == 1) {
       const ColumnVector& key = table.build_.columns[table.key_cols_[0]];
       if (key.is_numeric() && num_rows > 0) {
         double lo = 0.0;
@@ -296,25 +348,55 @@ JoinHashTable JoinHashTable::Build(ColumnBatch build,
     table.bloom_ = std::move(bloom);
   }
 
-  // Phase 2: hash-disjoint partitions, one worker per partition. Each
-  // partition scans the hash array in row order, so bucket row lists are
-  // ascending regardless of the partition count — the merged table is
-  // identical for every thread setting. One partition per worker: each
-  // extra partition costs a full (cheap) re-scan of the hash array, so
-  // oversubscribing partitions for load balance is a net loss.
-  const size_t parts =
+  // Phase 2: CSR bucket table — histogram, prefix sum, scatter. Workers own
+  // disjoint bucket ranges (the top bits of the bucket index) and scan the
+  // hash array in row order, so every bucket's entries are ascending and
+  // the table is identical for every thread count. One range per worker:
+  // each extra range costs another scan of the hash array.
+  const size_t buckets = NextPow2(std::max<size_t>(num_rows, 1));
+  table.bucket_mask_ = buckets - 1;
+  const size_t parts = std::min(
+      buckets,
       threads > 1 ? NextPow2(std::min<size_t>(static_cast<size_t>(threads), 64))
-                  : 1;
-  table.part_mask_ = parts - 1;
-  table.parts_.resize(parts);
+                  : size_t{1});
+  int shift = 0;
+  while ((parts << shift) < buckets) ++shift;
+  const uint64_t mask = table.bucket_mask_;
+  // offsets[b + 1] counts bucket b; after the prefix sum offsets[b] is the
+  // start of bucket b. The scatter advances offsets[b] to the end of bucket
+  // b, and a one-slot shift restores the starts.
+  std::vector<uint32_t>& offsets = table.offsets_;
+  offsets.assign(buckets + 1, 0);
   ParallelFor(parts, threads, [&](size_t p) {
-    auto& part = table.parts_[p];
-    part.reserve(num_rows / parts + 1);
-    for (uint32_t r = 0; r < num_rows; ++r) {
-      if ((hashes[r] & table.part_mask_) == p) part[hashes[r]].push_back(r);
+    for (size_t r = 0; r < num_rows; ++r) {
+      const uint64_t b = hashes[r] & mask;
+      if ((b >> shift) == p) ++offsets[b + 1];
     }
   });
+  for (size_t b = 1; b <= buckets; ++b) offsets[b] += offsets[b - 1];
+  table.rows_.resize(num_rows);
+  table.hashes_.resize(num_rows);
+  ParallelFor(parts, threads, [&](size_t p) {
+    for (size_t r = 0; r < num_rows; ++r) {
+      const uint64_t b = hashes[r] & mask;
+      if ((b >> shift) != p) continue;
+      const uint32_t k = offsets[b]++;
+      table.rows_[k] = static_cast<uint32_t>(r);
+      table.hashes_[k] = hashes[r];
+    }
+  });
+  std::memmove(offsets.data() + 1, offsets.data(),
+               (buckets - 1) * sizeof(uint32_t));
+  offsets[0] = 0;
   return table;
+}
+
+size_t JoinHashTable::TableBytes() const {
+  size_t bytes = offsets_.size() * sizeof(uint32_t) +
+                 rows_.size() * sizeof(uint32_t) +
+                 hashes_.size() * sizeof(uint64_t);
+  for (const auto& keys : decoded_keys_) bytes += keys.size() * sizeof(int64_t);
+  return bytes;
 }
 
 JoinHashTable::PreparedProbe JoinHashTable::Prepare(
@@ -364,69 +446,126 @@ JoinHashTable::PreparedProbe JoinHashTable::Prepare(
   return prepared;
 }
 
-void JoinHashTable::ProbeWith(const PreparedProbe& prepared,
-                              const ColumnBatch& probe,
-                              const std::vector<int>& probe_keys, uint32_t row,
-                              SelVector* out) const {
-  // Resolve each dictionary key to its build-side code while hashing; a
-  // probe value absent from the build dictionary cannot match any row.
-  constexpr size_t kMaxInlineKeys = 8;
-  int32_t build_codes[kMaxInlineKeys];
-  uint64_t h = kJoinHashSeed;
+void JoinHashTable::ProbeRange(const PreparedProbe& prepared,
+                               const ColumnBatch& probe,
+                               const std::vector<int>& probe_keys,
+                               uint32_t begin, uint32_t end, SelVector* left,
+                               SelVector* right) const {
+  // Rows per pass: the block's hashes and decoded keys stay cache-resident
+  // between the hashing pass and the bucket walk.
+  constexpr uint32_t kBlockRows = 2048;
   const size_t num_keys = probe_keys.size();
-  const bool inline_codes = num_keys <= kMaxInlineKeys;
+  const uint32_t block = std::min(kBlockRows, end - begin);
+
+  // Build-side key arrays, indexed by build row.
+  struct BuildKey {
+    const int64_t* ints = nullptr;
+    const double* doubles = nullptr;
+    const int32_t* codes = nullptr;  ///< Code compares (dictionary modes).
+    const ColumnVector* col = nullptr;
+  };
+  std::vector<BuildKey> build_keys(num_keys);
+  std::vector<std::vector<int64_t>> probe_decoded(num_keys);
+  std::vector<int64_t*> decoded(num_keys, nullptr);
+  std::vector<std::vector<int32_t>> probe_codes(num_keys);
   for (size_t c = 0; c < num_keys; ++c) {
-    const ColumnVector& pcol = probe.columns[probe_keys[c]];
-    switch (inline_codes ? prepared.keys[c].mode
-                         : PreparedProbe::Mode::kGeneric) {
-      case PreparedProbe::Mode::kSameDict: {
-        const int32_t code = pcol.codes()[row];
-        build_codes[c] = code;
-        h = HashCombine(h, pcol.dict()->hashes[code]);
-        break;
-      }
-      case PreparedProbe::Mode::kRemap: {
-        const int32_t code = pcol.codes()[row];
-        const int32_t bcode = (*prepared.keys[c].remap)[code];
-        if (bcode < 0) return;  // Absent from the build dictionary.
-        build_codes[c] = bcode;
-        h = HashCombine(h, pcol.dict()->hashes[code]);
-        break;
-      }
-      case PreparedProbe::Mode::kGeneric:
-        h = HashCombine(h, pcol.HashCell(row));
-        break;
+    const ColumnVector& bcol = build_.columns[key_cols_[c]];
+    BuildKey& bk = build_keys[c];
+    bk.col = &bcol;
+    if (prepared.keys[c].mode != PreparedProbe::Mode::kGeneric) {
+      bk.codes = bcol.codes().data();
+    } else if (!decoded_keys_[c].empty()) {
+      bk.ints = decoded_keys_[c].data();
+    } else if (bcol.type() == VecType::kInt64) {
+      bk.ints = bcol.ints().data();
+    } else if (bcol.type() == VecType::kDouble) {
+      bk.doubles = bcol.doubles().data();
+    }
+    if (probe.columns[probe_keys[c]].for_encoded()) {
+      probe_decoded[c].resize(block);
+      decoded[c] = probe_decoded[c].data();
+    }
+    if (prepared.keys[c].mode == PreparedProbe::Mode::kRemap) {
+      probe_codes[c].resize(block);
     }
   }
-  const auto& part = parts_[h & part_mask_];
-  const auto it = part.find(h);
-  if (it == part.end()) return;
-  for (uint32_t r : it->second) {
-    bool match = true;
+
+  std::vector<uint64_t> hashes(block);
+  std::vector<KeySpan> spans(num_keys);
+  std::vector<const int32_t*> want_codes(num_keys, nullptr);
+  SelVector live(block);
+  for (uint32_t b0 = begin; b0 < end; b0 += block) {
+    const uint32_t n = std::min(block, end - b0);
+    // Pass 1: hash the block column by column, then resolve dictionary keys
+    // to build codes; a probe value absent from the build dictionary
+    // rejects its row before any bucket is touched.
+    HashKeyRange(probe, probe_keys, b0, b0 + n, decoded.data(), hashes.data(),
+                 spans.data());
+    uint32_t num_live = n;
+    for (uint32_t j = 0; j < n; ++j) live[j] = j;
     for (size_t c = 0; c < num_keys; ++c) {
-      const ColumnVector& bcol = build_.columns[key_cols_[c]];
-      if (inline_codes &&
-          prepared.keys[c].mode != PreparedProbe::Mode::kGeneric) {
-        if (bcol.codes()[r] != build_codes[c]) {
-          match = false;
+      switch (prepared.keys[c].mode) {
+        case PreparedProbe::Mode::kGeneric:
+          break;
+        case PreparedProbe::Mode::kSameDict:
+          want_codes[c] = spans[c].codes;
+          break;
+        case PreparedProbe::Mode::kRemap: {
+          const int32_t* remap = prepared.keys[c].remap->data();
+          int32_t* out = probe_codes[c].data();
+          uint32_t k = 0;
+          for (uint32_t i = 0; i < num_live; ++i) {
+            const uint32_t j = live[i];
+            const int32_t code = remap[spans[c].codes[j]];
+            out[j] = code;
+            live[k] = j;
+            k += code >= 0 ? 1 : 0;
+          }
+          num_live = k;
+          want_codes[c] = out;
           break;
         }
-        continue;
-      }
-      if (!ColumnVector::CellsEqual(probe.columns[probe_keys[c]], row, bcol,
-                                    r)) {
-        match = false;
-        break;
       }
     }
-    if (match) out->push_back(r);
-  }
-}
 
-void JoinHashTable::Probe(const ColumnBatch& probe,
-                          const std::vector<int>& probe_keys, uint32_t row,
-                          SelVector* out) const {
-  ProbeWith(Prepare(probe, probe_keys), probe, probe_keys, row, out);
+    // Pass 2: walk each live row's bucket; the full hash rejects foreign
+    // entries, typed compares confirm the rest.
+    for (uint32_t i = 0; i < num_live; ++i) {
+      const uint32_t j = live[i];
+      const uint64_t h = hashes[j];
+      const uint64_t bucket = h & bucket_mask_;
+      for (uint32_t k = offsets_[bucket], ke = offsets_[bucket + 1]; k < ke;
+           ++k) {
+        if (hashes_[k] != h) continue;
+        const uint32_t r = rows_[k];
+        bool match = true;
+        for (size_t c = 0; c < num_keys && match; ++c) {
+          const BuildKey& bk = build_keys[c];
+          const KeySpan& ps = spans[c];
+          if (bk.codes != nullptr) {
+            match = want_codes[c][j] == bk.codes[r];
+          } else if (bk.ints != nullptr || bk.doubles != nullptr) {
+            const double bv = bk.ints != nullptr
+                                  ? static_cast<double>(bk.ints[r])
+                                  : bk.doubles[r];
+            if (ps.kind == KeySpan::Kind::kInt) {
+              match = static_cast<double>(ps.ints[j]) == bv;
+            } else if (ps.kind == KeySpan::Kind::kDouble) {
+              match = ps.doubles[j] == bv;
+            } else {
+              match = false;  // A string never equals a number.
+            }
+          } else {
+            match = ColumnVector::CellsEqual(*ps.col, b0 + j, *bk.col, r);
+          }
+        }
+        if (match) {
+          left->push_back(b0 + j);
+          right->push_back(r);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace mqo

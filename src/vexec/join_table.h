@@ -1,32 +1,45 @@
 // The shared equi-join hash table: built once in parallel, probed
-// concurrently.
+// concurrently, chunk-at-a-time.
 //
-// Build is two phases on the pipeline driver's primitives: (1) key hashes
-// for every build row, morsel-parallel into per-row slots; (2) hash-disjoint
-// partitions, one worker per partition, each scanning the hash array in row
-// order so every bucket's row list stays ascending. Because the partitions
-// split the *hash space* (not the row space), the merged table is a plain
-// concatenation of read-only partitions — no locks, no rehash — and its
-// bucket contents are identical for every thread and partition count. Probes
-// are pure reads, so morsel workers probe the finished table concurrently.
+// Layout: a flat CSR table. Every build row's key hash goes through one
+// avalanche finalizer (MixHash64) and its low bits pick one of a
+// power-of-two number of buckets (at least one bucket per build row). A
+// bucket offset array indexes one contiguous entry array holding, per
+// entry, the build row (ascending within each bucket) and its full key
+// hash, which rejects non-matching entries before any key compare.
+//
+// Build: (1) key hashes for every build row, morsel-parallel into per-row
+// slots (FOR-encoded key blocks unpacked once, into the table's decoded
+// copy of that key); (2) a bucket histogram, a prefix sum and a scatter in
+// row order. Workers of the histogram and scatter passes own disjoint
+// bucket ranges and each scans the hash array in row order, so the table is
+// byte-identical for every thread count.
+//
+// Probe: ProbeRange takes a whole row range. Pass 1 hashes the range column
+// by column (the build's hash kernel) and resolves dictionary keys to build
+// codes, dropping rows whose value is absent from the build dictionary;
+// pass 2 walks each remaining row's bucket with typed key compares — decoded
+// numbers, or dictionary codes when both sides are dictionary-encoded.
+// Matches come out in probe-row order, then ascending build row.
 //
 // The build also publishes a JoinBloomFilter over the key hashes (plus a
 // numeric min/max zone for single-key joins): probe-side pipelines test it
 // before probing — sideways information passing — and skip rows (or whole
 // morsels, via the zone) that cannot match. The filter is conservative: no
 // false negatives, so dropping rows it rejects preserves inner-join
-// semantics exactly.
+// semantics exactly. With mixed hashes it keeps its ~2% false-positive rate
+// on integer keys too.
 //
 // Dictionary-encoded string keys probe on codes: if both sides share a
 // dictionary, key equality is an int32 compare; if the dictionaries differ,
 // a probe-code→build-code remap (two-pointer merge of the sorted
 // dictionaries, cached per probe dictionary) gives the same O(1) compare and
 // an early reject when the probe value is absent from the build dictionary.
-// Unencoded columns fall back to the generic cell compare.
+// Unencoded string columns fall back to the generic cell compare.
 //
-// An empty key set degrades to one bucket holding every build row: probing
-// any row matches all of them, which is exactly the row engine's
-// cross-product semantics for condition-less joins.
+// An empty key set hashes every row to the same value, so one bucket holds
+// every build row: probing any row matches all of them, which is exactly the
+// row engine's cross-product semantics for condition-less joins.
 
 #ifndef MQO_VEXEC_JOIN_TABLE_H_
 #define MQO_VEXEC_JOIN_TABLE_H_
@@ -35,7 +48,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
 #include "algebra/logical_expr.h"
 #include "storage/column_batch.h"
@@ -60,9 +72,9 @@ Result<JoinSpec> ResolveJoinSpec(const std::vector<ColumnRef>& left,
                                  const std::vector<ColumnRef>& right,
                                  const JoinPredicate& predicate);
 
-/// Full key hash of one row: the value every build row is bucketed under and
-/// every probe row is looked up with. Exposed so scan-side Bloom prefilters
-/// compute bit-identical hashes.
+/// Full (finalized) key hash of one row: the value every build row is
+/// bucketed under and every probe row is looked up with. The batched
+/// kernels compute bit-identical values column by column.
 uint64_t JoinKeyHash(const ColumnBatch& batch, const std::vector<int>& cols,
                      uint32_t row);
 
@@ -87,7 +99,8 @@ void NumericMinMax(const ColumnVector& col, uint32_t begin, uint32_t end,
 /// MayContain never returns a false negative.
 class JoinBloomFilter {
  public:
-  /// ~12 bits per key with two probe positions (~2% false positives).
+  /// ~12 bits per key with two probe positions (~2% false positives on
+  /// finalized hashes).
   static std::shared_ptr<JoinBloomFilter> Build(
       const std::vector<uint64_t>& hashes);
 
@@ -153,16 +166,15 @@ class JoinHashTable {
   PreparedProbe Prepare(const ColumnBatch& probe,
                         const std::vector<int>& probe_keys) const;
 
-  /// Appends to `out` the build rows whose keys equal probe row `row` of
-  /// `probe` (key columns `probe_keys`, parallel to the build key columns),
-  /// in ascending build-row order. Thread-safe: the table is immutable.
-  void ProbeWith(const PreparedProbe& prepared, const ColumnBatch& probe,
-                 const std::vector<int>& probe_keys, uint32_t row,
-                 SelVector* out) const;
-
-  /// Prepare + ProbeWith convenience for single-row callers.
-  void Probe(const ColumnBatch& probe, const std::vector<int>& probe_keys,
-             uint32_t row, SelVector* out) const;
+  /// Appends one (probe row, build row) pair to (`left`, `right`) for every
+  /// build row whose keys equal probe row r of `probe`, for r in [begin,
+  /// end) (key columns `probe_keys`, parallel to the build key columns).
+  /// Pairs come in ascending probe row, then ascending build row. `prepared`
+  /// must come from Prepare(probe, probe_keys). Thread-safe: the table is
+  /// immutable.
+  void ProbeRange(const PreparedProbe& prepared, const ColumnBatch& probe,
+                  const std::vector<int>& probe_keys, uint32_t begin,
+                  uint32_t end, SelVector* left, SelVector* right) const;
 
   /// The build-side batch (for gathering matched rows).
   const ColumnBatch& build() const { return build_; }
@@ -172,7 +184,9 @@ class JoinHashTable {
     return bloom_;
   }
 
-  size_t num_partitions() const { return parts_.size(); }
+  /// Bytes held by the bucket structure (offsets, entries, decoded keys),
+  /// excluding the build batch itself.
+  size_t TableBytes() const;
 
   /// Dictionary remaps built so far (obs: vexec.dict_remap).
   int64_t remap_builds() const {
@@ -195,8 +209,14 @@ class JoinHashTable {
 
   ColumnBatch build_;
   std::vector<int> key_cols_;
-  uint64_t part_mask_ = 0;  ///< parts_.size() - 1 (a power of two).
-  std::vector<std::unordered_map<uint64_t, SelVector>> parts_;
+  uint64_t bucket_mask_ = 0;  ///< Bucket count (a power of two) minus one.
+  /// Bucket b's entries are [offsets_[b], offsets_[b + 1]).
+  std::vector<uint32_t> offsets_{0, 0};
+  std::vector<uint32_t> rows_;    ///< Entry build rows, ascending per bucket.
+  std::vector<uint64_t> hashes_;  ///< Entry full key hashes.
+  /// Per key column: FOR-encoded build keys decoded once; empty for plain,
+  /// double and string columns, which compare in place.
+  std::vector<std::vector<int64_t>> decoded_keys_;
   std::shared_ptr<const JoinBloomFilter> bloom_;
   std::unique_ptr<RemapState> remap_ = std::make_unique<RemapState>();
 };

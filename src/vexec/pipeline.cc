@@ -65,29 +65,33 @@ Result<ColumnBatch> ProjectChunkOp::Process(ColumnBatch chunk) const {
 }
 
 Result<ColumnBatch> ProbeChunkOp::Process(ColumnBatch chunk) const {
-  SelVector left_rows;
-  SelVector right_rows;
+  const uint32_t n = static_cast<uint32_t>(chunk.num_rows);
   // Resolve the key columns (dictionary remaps included) once per chunk,
-  // then probe every row through the prepared plan.
+  // then probe the whole chunk in one batched call.
   const JoinHashTable::PreparedProbe prepared =
       table_->Prepare(chunk, probe_key_idx_);
-  if (prepared.dict_keys > 0 && chunk.num_rows > 0) {
-    dict_rows_.fetch_add(static_cast<int64_t>(chunk.num_rows),
-                         std::memory_order_relaxed);
+  if (prepared.dict_keys > 0 && n > 0) {
+    dict_rows_.fetch_add(static_cast<int64_t>(n), std::memory_order_relaxed);
   }
-  for (uint32_t r = 0; r < chunk.num_rows; ++r) {
-    const size_t before = right_rows.size();
-    table_->ProbeWith(prepared, chunk, probe_key_idx_, r, &right_rows);
-    for (size_t k = before; k < right_rows.size(); ++k) left_rows.push_back(r);
-  }
+  SelVector left_rows;
+  SelVector right_rows;
+  left_rows.reserve(n);
+  right_rows.reserve(n);
+  table_->ProbeRange(prepared, chunk, probe_key_idx_, 0, n, &left_rows,
+                     &right_rows);
+  // Every probe row matched exactly once, in order (the common foreign-key
+  // shape): the probe-side columns pass through without a gather.
+  bool identity = left_rows.size() == n;
+  for (uint32_t i = 0; identity && i < n; ++i) identity = left_rows[i] == i;
   ColumnBatch out;
   out.names = out_names_;
-  out.columns.reserve(left_out_idx_.size() + table_->build().columns.size());
+  out.columns.reserve(left_out_idx_.size() + build_out_idx_.size());
   for (int c : left_out_idx_) {
-    out.columns.push_back(chunk.columns[c].Gather(left_rows));
+    out.columns.push_back(identity ? chunk.columns[c]
+                                   : chunk.columns[c].Gather(left_rows));
   }
-  for (const auto& col : table_->build().columns) {
-    out.columns.push_back(col.Gather(right_rows));
+  for (int c : build_out_idx_) {
+    out.columns.push_back(table_->build().columns[c].Gather(right_rows));
   }
   out.num_rows = left_rows.size();
   return out;

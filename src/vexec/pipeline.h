@@ -83,16 +83,19 @@ class ProjectChunkOp : public PipelineOp {
   std::vector<ColumnRef> names_;
 };
 
-/// Probes a shared read-only JoinHashTable with each chunk row and emits the
-/// joined chunk (probe-side class attributes, then build-side columns).
+/// Probes a shared read-only JoinHashTable with a whole chunk (one batched
+/// ProbeRange call) and emits the joined chunk: the kept probe-side columns,
+/// then the build columns the chain above reads.
 class ProbeChunkOp : public PipelineOp {
  public:
   ProbeChunkOp(std::shared_ptr<const JoinHashTable> table,
                std::vector<int> probe_key_idx, std::vector<int> left_out_idx,
+               std::vector<int> build_out_idx,
                std::vector<ColumnRef> out_names)
       : table_(std::move(table)),
         probe_key_idx_(std::move(probe_key_idx)),
         left_out_idx_(std::move(left_out_idx)),
+        build_out_idx_(std::move(build_out_idx)),
         out_names_(std::move(out_names)) {}
   Result<ColumnBatch> Process(ColumnBatch chunk) const override;
   const std::vector<ColumnRef>& output_names() const override {
@@ -105,6 +108,7 @@ class ProbeChunkOp : public PipelineOp {
   std::shared_ptr<const JoinHashTable> table_;
   std::vector<int> probe_key_idx_;  ///< Key columns in the incoming chunk.
   std::vector<int> left_out_idx_;   ///< Chunk columns kept in the output.
+  std::vector<int> build_out_idx_;  ///< Build columns gathered into it.
   std::vector<ColumnRef> out_names_;
   /// Rows probed through dictionary-code kernels (obs: vexec.dict_hits),
   /// accumulated per chunk — never per row — and drained by FlushMetrics.

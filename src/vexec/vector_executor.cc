@@ -21,6 +21,10 @@ struct ChainDesc {
   const JoinPredicate* join_predicate = nullptr;    ///< kProbe
   EqId probe_eq = -1;  ///< kProbe: class of the probe-side child.
   ColumnBatch build;   ///< kProbe: executed build side.
+  JoinSpec spec;       ///< kProbe: conditions over (probe attrs, build).
+  /// kProbe: columns the chain above and the sink read from its output;
+  /// only these probe-side and build columns are gathered.
+  std::set<ColumnRef> read_above;
 };
 
 }  // namespace
@@ -229,7 +233,7 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
     const auto& attrs = memo_->Attributes(memo_->Find(plan->eq));
     required.insert(attrs.begin(), attrs.end());
   }
-  for (const ChainDesc& d : descs) {
+  for (ChainDesc& d : descs) {
     switch (d.kind) {
       case ChainDesc::kFilter:
         for (const auto& cmp : d.predicate->conjuncts()) {
@@ -241,11 +245,17 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
         required.insert(d.project->begin(), d.project->end());
         break;
       case ChainDesc::kProbe: {
-        // The probe emits exactly (probe-side class attrs, build columns);
-        // everything above is satisfied from those.
+        // The probe emits the probe-side and build columns read above; below
+        // it, those probe-side columns and the probe keys are read.
+        d.read_above = std::move(required);
         const auto& attrs = memo_->Attributes(memo_->Find(d.probe_eq));
+        MQO_ASSIGN_OR_RETURN(
+            d.spec, ResolveJoinSpec(attrs, d.build.names, *d.join_predicate));
         required.clear();
-        required.insert(attrs.begin(), attrs.end());
+        for (const auto& col : attrs) {
+          if (d.read_above.count(col) > 0) required.insert(col);
+        }
+        for (const auto& c : d.spec.conds) required.insert(attrs[c.left]);
         break;
       }
     }
@@ -300,12 +310,9 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
       case ChainDesc::kProbe: {
         const std::vector<ColumnRef> left_attrs =
             memo_->Attributes(memo_->Find(d.probe_eq));
-        MQO_ASSIGN_OR_RETURN(
-            JoinSpec spec,
-            ResolveJoinSpec(left_attrs, d.build.names, *d.join_predicate));
         std::vector<int> probe_keys;
         std::vector<int> build_keys;
-        for (const auto& c : spec.conds) {
+        for (const auto& c : d.spec.conds) {
           const int i = ColumnIndexIn(schema, left_attrs[c.left]);
           if (i < 0) {
             return Status::Internal("join condition column missing: " +
@@ -315,12 +322,22 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
           build_keys.push_back(c.right);
         }
         std::vector<int> left_out;
+        std::vector<ColumnRef> out_names;
         for (const auto& col : left_attrs) {
+          if (d.read_above.count(col) == 0) continue;
           const int i = ColumnIndexIn(schema, col);
           if (i < 0) {
             return Status::Internal("probe column missing: " + col.ToString());
           }
           left_out.push_back(i);
+          out_names.push_back(col);
+        }
+        std::vector<int> build_out;
+        for (size_t i = 0; i < d.build.names.size(); ++i) {
+          if (d.read_above.count(d.build.names[i]) > 0) {
+            build_out.push_back(static_cast<int>(i));
+            out_names.push_back(d.build.names[i]);
+          }
         }
         auto table = std::make_shared<const JoinHashTable>(JoinHashTable::Build(
             std::move(d.build), std::move(build_keys), options_.pipeline()));
@@ -336,10 +353,10 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
             pipeline.bloom_key_idx.push_back(pipeline.keep_idx[k]);
           }
         }
-        schema = spec.out_names;
+        schema = out_names;
         pipeline.ops.push_back(std::make_unique<ProbeChunkOp>(
             std::move(table), std::move(probe_keys), std::move(left_out),
-            std::move(spec.out_names)));
+            std::move(build_out), std::move(out_names)));
         break;
       }
     }

@@ -8,7 +8,7 @@
 // parallel under ExecOptions::num_threads, with thread-local sink states
 // and a deterministic merge. Breakers are handled between pipelines: a
 // hash join's build side executes first and freezes into a shared
-// read-only JoinHashTable (partitioned parallel build); merge joins keep
+// read-only JoinHashTable (parallel CSR build); merge joins keep
 // the independently-implemented sort-merge path; materialized nodes run
 // their compute pipeline once and the sink's merged segment goes straight
 // into the shared MatStore (storage/mat_store.h) that ReadMaterialized

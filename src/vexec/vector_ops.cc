@@ -372,7 +372,7 @@ Result<ColumnBatch> HashJoinBatch(const ColumnBatch& left,
     probe_keys.push_back(c.left);
     build_keys.push_back(c.right);
   }
-  // Partitioned parallel build over the right side. An empty condition list
+  // Parallel CSR build over the right side. An empty condition list
   // degrades to one all-rows bucket, i.e. the cross product.
   const JoinHashTable table =
       JoinHashTable::Build(right, std::move(build_keys), pipeline);
@@ -388,15 +388,9 @@ Result<ColumnBatch> HashJoinBatch(const ColumnBatch& left,
   std::vector<Pairs> parts(morsels.size());
   ParallelOverMorsels(morsels, num_threads, [&](size_t m, const Morsel& morsel) {
     Pairs& pairs = parts[m];
-    const JoinHashTable::PreparedProbe prepared =
-        table.Prepare(left, probe_keys);
-    for (uint32_t l = morsel.begin; l < morsel.end; ++l) {
-      const size_t before = pairs.right_idx.size();
-      table.ProbeWith(prepared, left, probe_keys, l, &pairs.right_idx);
-      for (size_t k = before; k < pairs.right_idx.size(); ++k) {
-        pairs.left_idx.push_back(l);
-      }
-    }
+    table.ProbeRange(table.Prepare(left, probe_keys), left, probe_keys,
+                     morsel.begin, morsel.end, &pairs.left_idx,
+                     &pairs.right_idx);
   });
   size_t total = 0;
   for (const auto& pairs : parts) total += pairs.left_idx.size();

@@ -53,7 +53,7 @@ Result<ColumnBatch> FilterBatch(const ColumnBatch& in,
                                 int num_threads = 1,
                                 size_t morsel_rows = kAdaptiveMorselRows);
 
-/// Equijoin: builds a hash table on `right` (partitioned parallel build when
+/// Equijoin: builds a hash table on `right` (parallel CSR build when
 /// `num_threads > 1`), probes with `left` morsel-parallel, and gathers the
 /// matching index pairs. Empty predicates degrade to the cross product (as
 /// the row engine's nested loops do). Fails with Unimplemented on duplicate

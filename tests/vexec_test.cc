@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 
 #include "catalog/tpcd.h"
@@ -642,6 +643,7 @@ struct BloomFixture {
     pipe.chunk_names = probe.names;
     pipe.ops.push_back(std::make_unique<ProbeChunkOp>(
         table, std::vector<int>{0}, std::vector<int>{0, 1},
+        std::vector<int>{0},
         std::vector<ColumnRef>{ColumnRef("p", "k"), ColumnRef("p", "v"),
                                ColumnRef("b", "k")}));
     if (with_bloom) {
@@ -728,7 +730,7 @@ TEST(VexecBloomTest, DictionaryProbeCountersSurfaceInMetrics) {
   pipe.keep_idx = {0};
   pipe.chunk_names = probe.names;
   pipe.ops.push_back(std::make_unique<ProbeChunkOp>(
-      table, std::vector<int>{0}, std::vector<int>{0},
+      table, std::vector<int>{0}, std::vector<int>{0}, std::vector<int>{0},
       std::vector<ColumnRef>{ColumnRef("p", "tag"), ColumnRef("b", "tag")}));
 
   ObsOptions obs_options;
@@ -741,6 +743,320 @@ TEST(VexecBloomTest, DictionaryProbeCountersSurfaceInMetrics) {
   EXPECT_GT(got.ValueOrDie().num_rows, 0u);
   EXPECT_EQ(CounterOf(&obs, "vexec.dict_hits"), 64.0);
   EXPECT_EQ(CounterOf(&obs, "vexec.dict_remap"), 1.0);
+}
+
+TEST(VexecBloomTest, AbsentKeysInsideBuildRangeRejected) {
+  // Even build keys, odd probe keys: every probe key lies inside the build's
+  // min/max zone, so only the Bloom bits can reject it. Integer keys leave
+  // the low bits of the raw IEEE hash equal; the finalized hash must still
+  // give the filter its advertised false-positive rate.
+  for (int keys : {1000, 45000}) {
+    ColumnBatch build;
+    build.names = {ColumnRef("b", "k")};
+    ColumnVector bk(VecType::kInt64);
+    for (int i = 0; i < keys; ++i) bk.ints().push_back(2 * i);
+    build.columns = {bk};
+    build.num_rows = keys;
+    const JoinHashTable table =
+        JoinHashTable::Build(build, {0}, PipelineOptions{});
+    ASSERT_NE(table.bloom(), nullptr);
+    ColumnBatch probe;
+    probe.names = {ColumnRef("p", "k")};
+    ColumnVector pk(VecType::kInt64);
+    for (int i = 0; i < keys; ++i) pk.ints().push_back(2 * i + 1);
+    probe.columns = {pk};
+    probe.num_rows = keys;
+    int rejected = 0;
+    for (uint32_t r = 0; r < static_cast<uint32_t>(keys); ++r) {
+      ASSERT_TRUE(table.bloom()->MayContain(JoinKeyHash(build, {0}, r)))
+          << "false negative on build key " << 2 * r;
+      rejected += table.bloom()->MayContain(JoinKeyHash(probe, {0}, r)) ? 0 : 1;
+    }
+    EXPECT_GE(rejected, keys * 95 / 100) << keys << " build keys";
+  }
+}
+
+// ---- Batched probe kernel ---------------------------------------------------
+
+ColumnVector Ints(std::vector<int64_t> v) {
+  ColumnVector col(VecType::kInt64);
+  col.ints() = std::move(v);
+  return col;
+}
+
+ColumnVector Doubles(std::vector<double> v) {
+  ColumnVector col(VecType::kDouble);
+  col.doubles() = std::move(v);
+  return col;
+}
+
+ColumnVector Strings(std::vector<std::string> v, bool dict) {
+  ColumnVector col(VecType::kString);
+  col.strings() = std::move(v);
+  if (dict) {
+    EXPECT_TRUE(col.DictEncode());
+  }
+  return col;
+}
+
+ColumnBatch KeyBatch(const char* alias, std::vector<ColumnVector> cols) {
+  ColumnBatch batch;
+  for (size_t c = 0; c < cols.size(); ++c) {
+    batch.names.push_back(ColumnRef(alias, "k" + std::to_string(c)));
+  }
+  batch.num_rows = cols.empty() ? 0 : cols[0].size();
+  batch.columns = std::move(cols);
+  return batch;
+}
+
+struct PairList {
+  SelVector left;
+  SelVector right;
+};
+
+/// Nested-loop reference join over probe rows [begin, end): value-semantics
+/// CellsEqual on every key, probe-major, build rows ascending.
+PairList ReferencePairs(const ColumnBatch& probe, const std::vector<int>& pkeys,
+                        const ColumnBatch& build, const std::vector<int>& bkeys,
+                        uint32_t begin, uint32_t end) {
+  PairList out;
+  for (uint32_t l = begin; l < end; ++l) {
+    for (uint32_t r = 0; r < build.num_rows; ++r) {
+      bool eq = true;
+      for (size_t c = 0; c < pkeys.size() && eq; ++c) {
+        eq = ColumnVector::CellsEqual(probe.columns[pkeys[c]], l,
+                                      build.columns[bkeys[c]], r);
+      }
+      if (eq) {
+        out.left.push_back(l);
+        out.right.push_back(r);
+      }
+    }
+  }
+  return out;
+}
+
+PairList KernelPairs(const JoinHashTable& table, const ColumnBatch& probe,
+                     const std::vector<int>& pkeys, uint32_t begin,
+                     uint32_t end) {
+  PairList out;
+  table.ProbeRange(table.Prepare(probe, pkeys), probe, pkeys, begin, end,
+                   &out.left, &out.right);
+  return out;
+}
+
+/// ProbeRange must equal the nested-loop reference pair for pair, in order,
+/// over the whole probe batch and over ranges starting mid-batch, for tables
+/// built at threads {1, 2, 8} (small morsels, so parallel builds split).
+/// Returns the total number of reference pairs over the whole batch.
+size_t ExpectKernelMatchesReference(const ColumnBatch& probe,
+                                    const std::vector<int>& pkeys,
+                                    const ColumnBatch& build,
+                                    const std::vector<int>& bkeys) {
+  const uint32_t n = static_cast<uint32_t>(probe.num_rows);
+  const std::vector<std::pair<uint32_t, uint32_t>> ranges = {
+      {0, n}, {n / 3, n}, {n / 2, n / 2 + (n + 3) / 4}, {n, n}};
+  std::vector<PairList> want;
+  for (const auto& [begin, end] : ranges) {
+    want.push_back(ReferencePairs(probe, pkeys, build, bkeys, begin, end));
+  }
+  for (int threads : {1, 2, 8}) {
+    const JoinHashTable table =
+        JoinHashTable::Build(build, bkeys, PipelineOptions{threads, 64});
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      const auto [begin, end] = ranges[i];
+      const PairList got = KernelPairs(table, probe, pkeys, begin, end);
+      EXPECT_EQ(got.left, want[i].left)
+          << "threads " << threads << " range [" << begin << "," << end << ")";
+      EXPECT_EQ(got.right, want[i].right)
+          << "threads " << threads << " range [" << begin << "," << end << ")";
+    }
+  }
+  return want[0].left.size();
+}
+
+TEST(VexecProbeKernelTest, PlainAndForInt64KeysMatchNestedLoop) {
+  std::vector<int64_t> pv;
+  std::vector<int64_t> bv;
+  for (int i = 0; i < 1500; ++i) pv.push_back(1000 + (i * 7) % 450);
+  for (int i = 0; i < 1200; ++i) bv.push_back(1000 + (i * 11) % 400);
+  const ColumnBatch probe = KeyBatch("p", {Ints(pv)});
+  const ColumnBatch build = KeyBatch("b", {Ints(bv)});
+  EXPECT_GT(ExpectKernelMatchesReference(probe, {0}, build, {0}), 0u);
+
+  ColumnBatch for_probe = probe;
+  ColumnBatch for_build = build;
+  ASSERT_TRUE(for_probe.columns[0].ForEncode());
+  ASSERT_TRUE(for_build.columns[0].ForEncode());
+  EXPECT_GT(ExpectKernelMatchesReference(for_probe, {0}, for_build, {0}), 0u);
+  // Mixed physical forms on the two sides agree too.
+  EXPECT_GT(ExpectKernelMatchesReference(probe, {0}, for_build, {0}), 0u);
+  EXPECT_GT(ExpectKernelMatchesReference(for_probe, {0}, build, {0}), 0u);
+}
+
+TEST(VexecProbeKernelTest, Int64AgainstDoubleKeysCompareByValue) {
+  // 1 == 1.0; 1.5 matches no integer.
+  const ColumnBatch probe = KeyBatch("p", {Ints({0, 1, 2, 3, 1, 7, -4})});
+  const ColumnBatch build =
+      KeyBatch("b", {Doubles({1.0, 1.5, 3.0, -4.0, 1.0, 8.0, 0.0})});
+  EXPECT_EQ(ExpectKernelMatchesReference(probe, {0}, build, {0}), 7u);
+  EXPECT_EQ(ExpectKernelMatchesReference(build, {0}, probe, {0}), 7u);
+}
+
+TEST(VexecProbeKernelTest, SignedZeroMatchesAndNanNeverMatches) {
+  const double nan = std::nan("");
+  const ColumnBatch probe =
+      KeyBatch("p", {Doubles({-0.0, 0.0, nan, 2.0, nan, -0.0})});
+  const ColumnBatch build =
+      KeyBatch("b", {Doubles({0.0, nan, -0.0, 2.0, nan})});
+  // Each of the three zeros meets both build zeros; 2.0 meets 2.0.
+  EXPECT_EQ(ExpectKernelMatchesReference(probe, {0}, build, {0}), 7u);
+  const ColumnBatch ints = KeyBatch("i", {Ints({0, 2, 0})});
+  EXPECT_EQ(ExpectKernelMatchesReference(ints, {0}, build, {0}), 5u);
+}
+
+TEST(VexecProbeKernelTest, DictionaryKeysSharedAndRemapped) {
+  std::vector<std::string> bs;
+  std::vector<std::string> ps;
+  for (int i = 0; i < 400; ++i) bs.push_back("t" + std::to_string(3 + i % 10));
+  for (int i = 0; i < 500; ++i) ps.push_back("t" + std::to_string(i % 10));
+  const ColumnBatch build = KeyBatch("b", {Strings(bs, true)});
+
+  // Shared dictionary: the probe gathers the build column, keeping its dict.
+  SelVector sel;
+  for (uint32_t i = 0; i < 400; i += 3) sel.push_back(i);
+  const ColumnBatch shared = KeyBatch("p", {build.columns[0].Gather(sel)});
+  ASSERT_EQ(shared.columns[0].dict(), build.columns[0].dict());
+  {
+    const JoinHashTable table =
+        JoinHashTable::Build(build, {0}, PipelineOptions{});
+    EXPECT_EQ(table.Prepare(shared, {0}).keys[0].mode,
+              JoinHashTable::PreparedProbe::Mode::kSameDict);
+  }
+  EXPECT_GT(ExpectKernelMatchesReference(shared, {0}, build, {0}), 0u);
+
+  // Different dictionaries, t0..t2 absent from the build side.
+  const ColumnBatch remapped = KeyBatch("p", {Strings(ps, true)});
+  {
+    const JoinHashTable table =
+        JoinHashTable::Build(build, {0}, PipelineOptions{});
+    EXPECT_EQ(table.Prepare(remapped, {0}).keys[0].mode,
+              JoinHashTable::PreparedProbe::Mode::kRemap);
+  }
+  EXPECT_GT(ExpectKernelMatchesReference(remapped, {0}, build, {0}), 0u);
+
+  // Raw strings against codes take the generic compare.
+  const ColumnBatch raw = KeyBatch("p", {Strings(ps, false)});
+  EXPECT_GT(ExpectKernelMatchesReference(raw, {0}, build, {0}), 0u);
+  EXPECT_GT(ExpectKernelMatchesReference(build, {0}, raw, {0}), 0u);
+
+  // A string key never equals a numeric one.
+  const ColumnBatch nums = KeyBatch("n", {Ints({3, 4, 5})});
+  EXPECT_EQ(ExpectKernelMatchesReference(nums, {0}, build, {0}), 0u);
+}
+
+TEST(VexecProbeKernelTest, TwoColumnKeys) {
+  std::vector<int64_t> pa;
+  std::vector<std::string> pb;
+  std::vector<int64_t> ba;
+  std::vector<std::string> bb;
+  for (int i = 0; i < 600; ++i) {
+    pa.push_back(i % 13);
+    pb.push_back("v" + std::to_string(i % 7));
+  }
+  for (int i = 0; i < 300; ++i) {
+    ba.push_back(i % 11);
+    bb.push_back("v" + std::to_string(i % 5));
+  }
+  const ColumnBatch probe =
+      KeyBatch("p", {Ints(pa), Strings(pb, true)});
+  const ColumnBatch build =
+      KeyBatch("b", {Strings(bb, true), Ints(ba)});
+  EXPECT_GT(ExpectKernelMatchesReference(probe, {0, 1}, build, {1, 0}), 0u);
+}
+
+TEST(VexecProbeKernelTest, EmptyKeySetIsTheCrossProduct) {
+  const ColumnBatch probe = KeyBatch("p", {Ints({5, 6, 7, 8, 9, 10, 11})});
+  const ColumnBatch build = KeyBatch("b", {Ints({1, 2, 3, 4, 5})});
+  EXPECT_EQ(ExpectKernelMatchesReference(probe, {}, build, {}), 35u);
+}
+
+TEST(VexecProbeKernelTest, EmptyBuildSideMatchesNothing) {
+  const ColumnBatch probe = KeyBatch("p", {Ints({1, 2, 3})});
+  const ColumnBatch build = KeyBatch("b", {Ints({})});
+  EXPECT_EQ(ExpectKernelMatchesReference(probe, {0}, build, {0}), 0u);
+  EXPECT_EQ(ExpectKernelMatchesReference(probe, {}, build, {}), 0u);
+}
+
+TEST(VexecProbeKernelTest, DuplicateHeavyKeys) {
+  std::vector<int64_t> pv;
+  std::vector<int64_t> bv;
+  for (int i = 0; i < 300; ++i) pv.push_back(i % 3);
+  for (int i = 0; i < 200; ++i) bv.push_back(i % 4);
+  const ColumnBatch probe = KeyBatch("p", {Ints(pv)});
+  const ColumnBatch build = KeyBatch("b", {Ints(bv)});
+  EXPECT_EQ(ExpectKernelMatchesReference(probe, {0}, build, {0}),
+            300u * 50u);
+}
+
+TEST(VexecProbeKernelTest, ParallelBuildsProbeIdentically) {
+  // Duplicate-heavy, all-distinct and condition-less builds: the table's
+  // buckets — and so the probe output — must not depend on the build's
+  // thread count or morsel size.
+  std::vector<int64_t> dup;
+  std::vector<int64_t> distinct;
+  for (int i = 0; i < 5000; ++i) {
+    dup.push_back(i % 17);
+    distinct.push_back(static_cast<int64_t>(i) * 7919 % 5003);
+  }
+  std::vector<int64_t> probe_keys;
+  for (int i = 0; i < 4000; ++i) probe_keys.push_back(i % 5100);
+  const ColumnBatch probe = KeyBatch("p", {Ints(probe_keys)});
+  struct Case {
+    const char* label;
+    ColumnBatch build;
+    std::vector<int> keys;
+    uint32_t probe_rows;
+  };
+  const std::vector<Case> cases = {
+      {"duplicate-heavy", KeyBatch("b", {Ints(dup)}), {0}, 4000},
+      {"all-distinct", KeyBatch("b", {Ints(distinct)}), {0}, 4000},
+      {"condition-less", KeyBatch("b", {Ints(dup)}), {}, 30}};
+  for (const Case& c : cases) {
+    const std::vector<int> pkeys = c.keys.empty() ? std::vector<int>{}
+                                                  : std::vector<int>{0};
+    PairList base;
+    for (int threads : {1, 2, 8}) {
+      for (size_t morsel : {size_t{0}, size_t{100}}) {
+        const JoinHashTable table = JoinHashTable::Build(
+            c.build, c.keys, PipelineOptions{threads, morsel});
+        const PairList got = KernelPairs(table, probe, pkeys, 0, c.probe_rows);
+        if (threads == 1 && morsel == 0) {
+          base = got;
+          EXPECT_GT(base.left.size(), 0u) << c.label;
+          continue;
+        }
+        EXPECT_EQ(got.left, base.left) << c.label << " threads " << threads;
+        EXPECT_EQ(got.right, base.right) << c.label << " threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(VexecProbeKernelTest, TableBytesStayFlat) {
+  // Plain keys compare in place: the table holds offsets, entry rows and
+  // entry hashes only — at most 20 bytes per build row.
+  std::vector<int64_t> keys;
+  for (int i = 0; i < 10000; ++i) keys.push_back(i % 1000);
+  ColumnBatch build = KeyBatch("b", {Ints(keys)});
+  const JoinHashTable plain =
+      JoinHashTable::Build(build, {0}, PipelineOptions{});
+  EXPECT_LE(plain.TableBytes(), 20u * 10000u + 8u);
+  // A FOR-encoded key adds one decoded copy (8 bytes per row).
+  ASSERT_TRUE(build.columns[0].ForEncode());
+  const JoinHashTable encoded =
+      JoinHashTable::Build(build, {0}, PipelineOptions{});
+  EXPECT_EQ(encoded.TableBytes(), plain.TableBytes() + 8u * 10000u);
 }
 
 // ---- Zone-map scan skipping and compressed-domain filters -------------------

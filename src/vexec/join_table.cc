@@ -180,27 +180,22 @@ size_t BloomRefineSel(const ColumnBatch& batch, const std::vector<int>& keys,
   const size_t n = sel->size();
   if (n == 0) return 0;
   uint32_t* s = sel->data();
-  size_t m = n;
-  if (use_range) {
-    // The range test is cheaper than hashing: it runs first, so only rows
-    // inside the build's key range are hashed.
-    const ColumnVector& col = batch.columns[keys[0]];
-    const double lo = bloom.min_key();
-    const double hi = bloom.max_key();
-    m = 0;
-    for (size_t j = 0; j < n; ++j) {
-      const uint32_t i = s[j];
-      const double v = col.Number(i);
-      s[m] = i;
-      m += v >= lo && v <= hi ? 1 : 0;
-    }
-  }
-  std::vector<uint64_t> hashes(m);
-  HashKeySel(batch, keys, s, m, hashes.data());
+  std::vector<uint64_t> hashes(n);
+  HashKeySel(batch, keys, s, n, hashes.data());
+  const double lo = bloom.min_key();
+  const double hi = bloom.max_key();
+  const ColumnVector* range_col =
+      use_range ? &batch.columns[keys[0]] : nullptr;
   size_t k = 0;
-  for (size_t j = 0; j < m; ++j) {
-    s[k] = s[j];
-    k += bloom.MayContain(hashes[j]) ? 1 : 0;
+  for (size_t j = 0; j < n; ++j) {
+    const uint32_t i = s[j];
+    bool keep = bloom.MayContain(hashes[j]);
+    if (keep && range_col != nullptr) {
+      const double v = range_col->Number(i);
+      keep = v >= lo && v <= hi;
+    }
+    s[k] = i;
+    k += keep ? 1 : 0;
   }
   sel->resize(k);
   return n - k;
@@ -457,29 +452,21 @@ void JoinHashTable::ProbeRange(const PreparedProbe& prepared,
   const size_t num_keys = probe_keys.size();
   const uint32_t block = std::min(kBlockRows, end - begin);
 
-  // Build-side key arrays, indexed by build row.
-  struct BuildKey {
-    const int64_t* ints = nullptr;
-    const double* doubles = nullptr;
-    const int32_t* codes = nullptr;  ///< Code compares (dictionary modes).
-    const ColumnVector* col = nullptr;
-  };
-  std::vector<BuildKey> build_keys(num_keys);
+  // Build-side key views (begin = 0, so indexed by build row): FOR-encoded
+  // keys read the table's decoded copy, every other column is viewed in
+  // place by the same loader the probe side uses.
+  std::vector<KeySpan> build_spans(num_keys);
   std::vector<std::vector<int64_t>> probe_decoded(num_keys);
   std::vector<int64_t*> decoded(num_keys, nullptr);
   std::vector<std::vector<int32_t>> probe_codes(num_keys);
   for (size_t c = 0; c < num_keys; ++c) {
     const ColumnVector& bcol = build_.columns[key_cols_[c]];
-    BuildKey& bk = build_keys[c];
-    bk.col = &bcol;
-    if (prepared.keys[c].mode != PreparedProbe::Mode::kGeneric) {
-      bk.codes = bcol.codes().data();
-    } else if (!decoded_keys_[c].empty()) {
-      bk.ints = decoded_keys_[c].data();
-    } else if (bcol.type() == VecType::kInt64) {
-      bk.ints = bcol.ints().data();
-    } else if (bcol.type() == VecType::kDouble) {
-      bk.doubles = bcol.doubles().data();
+    if (bcol.for_encoded()) {
+      build_spans[c].kind = KeySpan::Kind::kInt;
+      build_spans[c].ints = decoded_keys_[c].data();
+      build_spans[c].col = &bcol;
+    } else {
+      build_spans[c] = LoadKeySpan(bcol, 0, 0, nullptr);
     }
     if (probe.columns[probe_keys[c]].for_encoded()) {
       probe_decoded[c].resize(block);
@@ -540,14 +527,15 @@ void JoinHashTable::ProbeRange(const PreparedProbe& prepared,
         const uint32_t r = rows_[k];
         bool match = true;
         for (size_t c = 0; c < num_keys && match; ++c) {
-          const BuildKey& bk = build_keys[c];
+          const KeySpan& bs = build_spans[c];
           const KeySpan& ps = spans[c];
-          if (bk.codes != nullptr) {
-            match = want_codes[c][j] == bk.codes[r];
-          } else if (bk.ints != nullptr || bk.doubles != nullptr) {
-            const double bv = bk.ints != nullptr
-                                  ? static_cast<double>(bk.ints[r])
-                                  : bk.doubles[r];
+          if (want_codes[c] != nullptr) {
+            match = want_codes[c][j] == bs.codes[r];
+          } else if (bs.kind == KeySpan::Kind::kInt ||
+                     bs.kind == KeySpan::Kind::kDouble) {
+            const double bv = bs.kind == KeySpan::Kind::kInt
+                                  ? static_cast<double>(bs.ints[r])
+                                  : bs.doubles[r];
             if (ps.kind == KeySpan::Kind::kInt) {
               match = static_cast<double>(ps.ints[j]) == bv;
             } else if (ps.kind == KeySpan::Kind::kDouble) {
@@ -556,7 +544,7 @@ void JoinHashTable::ProbeRange(const PreparedProbe& prepared,
               match = false;  // A string never equals a number.
             }
           } else {
-            match = ColumnVector::CellsEqual(*ps.col, b0 + j, *bk.col, r);
+            match = ColumnVector::CellsEqual(*ps.col, b0 + j, *bs.col, r);
           }
         }
         if (match) {

@@ -79,16 +79,11 @@ Result<ColumnBatch> ProbeChunkOp::Process(ColumnBatch chunk) const {
   right_rows.reserve(n);
   table_->ProbeRange(prepared, chunk, probe_key_idx_, 0, n, &left_rows,
                      &right_rows);
-  // Every probe row matched exactly once, in order (the common foreign-key
-  // shape): the probe-side columns pass through without a gather.
-  bool identity = left_rows.size() == n;
-  for (uint32_t i = 0; identity && i < n; ++i) identity = left_rows[i] == i;
   ColumnBatch out;
   out.names = out_names_;
   out.columns.reserve(left_out_idx_.size() + build_out_idx_.size());
   for (int c : left_out_idx_) {
-    out.columns.push_back(identity ? chunk.columns[c]
-                                   : chunk.columns[c].Gather(left_rows));
+    out.columns.push_back(chunk.columns[c].Gather(left_rows));
   }
   for (int c : build_out_idx_) {
     out.columns.push_back(table_->build().columns[c].Gather(right_rows));

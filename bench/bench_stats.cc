@@ -33,7 +33,7 @@
 #include "mqo/mqo_algorithms.h"
 #include "stats/qerror.h"
 #include "stats/table_stats.h"
-#include "vexec/vector_executor.h"
+#include "vexec/backend.h"
 #include "workload/example1.h"
 #include "workload/tpcd_queries.h"
 
@@ -172,17 +172,19 @@ int main(int argc, char** argv) {
     MqoResult result = RunGreedy(&problem);
     if (result.materialized.empty()) continue;
     ConsolidatedPlan plan = before.Plan(result.materialized);
-    VectorPlanExecutor executor(&memo, &data);
-    if (!executor.ExecuteConsolidated(plan).ok()) return 1;
+    auto executed =
+        ExecuteConsolidatedResult(ExecBackend::kVector, &memo, &data, plan);
+    if (!executed.ok()) return 1;
+    const CardinalityFeedback& feedback = executed.ValueOrDie().feedback;
 
     BatchOptimizerOptions with_feedback;
-    with_feedback.stats.feedback = &executor.feedback();
+    with_feedback.stats.feedback = &feedback;
     BatchOptimizer after(&memo, CostModel(), with_feedback);
     const auto reads = ExpectedSegmentReads(memo, plan);
     std::unordered_map<EqId, uint64_t> fp_cache;
     for (EqId e : result.materialized) {
       const double* observed =
-          executor.feedback().Find(ClassFingerprint(memo, e, &fp_cache));
+          feedback.Find(ClassFingerprint(memo, e, &fp_cache));
       const double fb = before.MatFootprintBytes(e);
       const double fa = after.MatFootprintBytes(e);
       auto it = reads.find(memo.Find(e));

@@ -5,8 +5,9 @@
 // scheduling knobs feed the pipeline driver (storage/pipeline.h) that
 // schedules every scan, filter, join build/probe and aggregation in the
 // vectorized engine (the row interpreter is always serial and ignores
-// them). The memory-governance knobs configure both engines' shared
-// materialized-segment store (storage/mat_store.h): a resident-byte budget
+// them). The memory-governance knobs configure the segment store
+// (storage/mat_store.h) the materialization driver opens for each
+// consolidated run, whichever engine runs it: a resident-byte budget
 // and the spill directory evicted segments are written to. Results are
 // identical for every setting — threading and spilling are performance
 // decisions, never semantic ones.
@@ -27,7 +28,7 @@ class SharedSegmentCache;
 /// the materialized-segment store's memory governance. Results are identical
 /// for every setting.
 struct ExecOptions : PipelineOptions {
-  /// Resident-byte budget of the executor's MatStore; 0 = unlimited. The
+  /// Resident-byte budget of each run's MatStore; 0 = unlimited. The
   /// environment variable MQO_MAT_BUDGET_BYTES overrides an unset budget
   /// (CI uses it to force every segment through the spill path).
   size_t mat_budget_bytes = 0;
@@ -57,10 +58,11 @@ struct ExecOptions : PipelineOptions {
   /// executor metrics. Null = off; execution is unaffected either way.
   ObsContext* obs = nullptr;
   /// Cross-batch semantic segment cache (storage/segment_cache.h), shared
-  /// across a session's concurrent batches. When set, MaterializeNode first
-  /// consults the cache by structural class fingerprint (a hit skips the
-  /// compute entirely) and publishes freshly computed segments back. Null =
-  /// per-run materialization only. Results are identical either way — the
+  /// across a session's concurrent batches. When set, the materialization
+  /// driver (ExecuteConsolidatedResult, vexec/backend.h) first consults the
+  /// cache by structural class fingerprint for each chosen class (a hit
+  /// skips the compute entirely) and publishes freshly computed segments
+  /// back. Null = per-run materialization only. Results are identical either way — the
   /// cache can only serve a segment whose fingerprint and base-table
   /// versions both match.
   SharedSegmentCache* shared_cache = nullptr;

@@ -1,79 +1,52 @@
-// Physical plan executor over generated data.
+// Row-at-a-time physical plan interpreter: the reference engine.
 //
-// Executes the optimizer's chosen plan trees — including the consolidated
-// MQO plans with materialized intermediates — with bag semantics, to verify
-// end-to-end that sharing decisions never change query results: for any
-// materialized set, executing ConsolidatedPlan must produce exactly the
-// results of evaluating each query class directly.
+// Executes one optimizer plan tree with bag semantics, operator by operator
+// over whole row sets. The vectorized engine (vexec/vector_executor.h) is
+// checked against it, so it stays plain: serial, uncompressed, and without
+// any materialization bookkeeping of its own.
 //
-// Materialized nodes are executed once (their compute plans, in dependency
-// order) into the shared columnar segment store (storage/mat_store.h) that
-// ReadMaterialized leaves consult — mirroring the cost model's
-// execute-once/read-many accounting. The interpreter converts segments at
-// the row/column boundary on every store access, pinning the segment for
-// the duration of the conversion. The store runs under the memory budget in
-// ExecOptions (segments evict and spill to disk; reads rehydrate them
-// transparently), so row and vectorized execution stay byte-equivalent at
-// every budget.
+// Consolidated MQO plans run through the one materialization driver behind
+// ExecuteConsolidatedResult (vexec/backend.h). The driver owns the run's
+// columnar segment store (storage/mat_store.h), computes each chosen class
+// once through ComputeSegment, and then executes the batch's queries here;
+// their ReadMaterialized leaves and BNL/index side inputs read segments back
+// through the store this executor was given, pinned while they are
+// converted to rows. Segments stay plain decoded columns, so the row
+// engine's store fills faster than vexec's FOR-encoded one under the same
+// budget and spills first; results are the same at every budget.
 
 #ifndef MQO_EXEC_PLAN_EXECUTOR_H_
 #define MQO_EXEC_PLAN_EXECUTOR_H_
 
 #include "exec/evaluator.h"
 #include "exec/exec_options.h"
-#include "obs/explain.h"
 #include "optimizer/batch_optimizer.h"
-#include "stats/feedback.h"
 #include "storage/mat_store.h"
 
 namespace mqo {
 
-/// Executes physical plans against a dataset. The interpreter itself is
-/// always serial; `options` only configures the materialized-segment store
-/// and the observability sink.
+/// Executes physical plans against a dataset. The interpreter is always
+/// serial; `options` only supplies the observability sink.
 class PlanExecutor {
  public:
+  /// `store` holds the run's materialized segments; null for plans without
+  /// materialized reads.
   PlanExecutor(Memo* memo, const DataSet* data,
-               const ExecOptions& options = {})
+               const ExecOptions& options = {}, MatStore* store = nullptr)
       : memo_(memo),
         data_(data),
         evaluator_(memo, data),
-        store_(options.mat_store()),
-        obs_(options.obs),
-        shared_cache_(options.shared_cache) {}
+        store_(store),
+        obs_(options.obs) {}
 
   /// Executes one plan tree; the result is canonicalized to the plan's class
   /// attributes. ReadMaterialized leaves require the node to be present in
-  /// the store (see MaterializeNode / ExecuteConsolidated).
+  /// the store.
   Result<NamedRows> Execute(const PlanNodePtr& plan);
 
-  /// Executes `compute_plan` and stores the result for class `eq`.
-  Status MaterializeNode(EqId eq, const PlanNodePtr& compute_plan);
-
-  /// Executes a full consolidated plan: materializes every chosen node (in
-  /// the order given, which BatchOptimizer emits dependency-compatible),
-  /// then executes the root and returns one result per batched query.
-  Result<std::vector<NamedRows>> ExecuteConsolidated(const ConsolidatedPlan& plan);
-
-  /// This executor's materialized-segment store (budget accounting, spill
-  /// stats), for tests and benches.
-  const MatStore& store() const { return store_; }
-
-  /// Observed cardinalities of the segments materialized by the most recent
-  /// ExecuteConsolidated run, keyed by structural class fingerprint. Feeding
-  /// these into a later optimization (StatsOptions::feedback) re-seeds its
-  /// row estimates — and hence footprints, spill penalties and eviction
-  /// weights — from reality.
-  const CardinalityFeedback& feedback() const { return feedback_; }
-
-  /// Per-segment runtime telemetry of the most recent ExecuteConsolidated
-  /// run (actual rows, compute time, store reads/reloads), eq-sorted. Same
-  /// contract as VectorPlanExecutor::SegmentRuntimes.
-  std::vector<SegmentRuntime> SegmentRuntimes() const;
-
-  /// Materializations of the most recent ExecuteConsolidated run served
-  /// from the cross-batch segment cache instead of being computed.
-  int64_t cross_batch_hits() const { return cross_batch_hits_; }
+  /// Executes `plan` into the segment the driver stores for its class: the
+  /// plain columns of Execute's result.
+  Result<ColumnBatch> ComputeSegment(const PlanNodePtr& plan);
 
  private:
   Result<NamedRows> ExecuteUncanonicalized(const PlanNodePtr& plan);
@@ -84,14 +57,8 @@ class PlanExecutor {
   Memo* memo_;
   const DataSet* data_;
   Evaluator evaluator_;
-  MatStore store_;
+  MatStore* store_;
   ObsContext* obs_ = nullptr;
-  SharedSegmentCache* shared_cache_ = nullptr;
-  CardinalityFeedback feedback_;
-  std::unordered_map<EqId, uint64_t> fingerprints_;
-  std::unordered_map<EqId, double> compute_ms_;  ///< Materialization times.
-  std::unordered_map<EqId, double> expected_reads_;  ///< Plan's read counts.
-  int64_t cross_batch_hits_ = 0;
 };
 
 }  // namespace mqo

@@ -47,6 +47,8 @@ struct ConsolidatedPlan {
     PlanNodePtr compute_plan;
     double write_cost = 0.0;
   };
+  /// In EqId order; ExecuteConsolidatedResult (vexec/backend.h) computes
+  /// them children-first.
   std::vector<MatNode> materialized;
 };
 

@@ -3,11 +3,20 @@
 // (vexec/vector_executor.h), behind one dispatch surface so callers — the
 // facade, examples, benches, and the differential tests — switch engines
 // with an enum.
+//
+// ExecuteConsolidatedResult is the one materialization driver both engines
+// share. It owns the run's segment store, computes each chosen class once
+// (children first, or serves it from the cross-batch segment cache), records
+// cardinality feedback and per-segment telemetry, and then executes the
+// batch's queries. An engine only supplies Execute (plan -> canonical rows)
+// and ComputeSegment (plan -> the segment it stores).
 
 #ifndef MQO_VEXEC_BACKEND_H_
 #define MQO_VEXEC_BACKEND_H_
 
 #include "exec/plan_executor.h"
+#include "obs/explain.h"
+#include "stats/feedback.h"
 #include "vexec/vector_executor.h"
 
 namespace mqo {
@@ -29,6 +38,7 @@ struct ExecResult {
   std::vector<NamedRows> results;  ///< One per batched query, canonicalized.
   CardinalityFeedback feedback;    ///< Actual rows per materialized segment.
   MatStoreStats store_stats;       ///< Segment-store accounting for the run.
+  size_t store_bytes = 0;          ///< Bytes resident when the run ended.
   /// Per-segment runtime telemetry (actual rows, compute time, reads),
   /// eq-sorted; joins against the optimizer's estimates in EXPLAIN ANALYZE.
   std::vector<SegmentRuntime> segments;
@@ -40,13 +50,14 @@ struct ExecResult {
 /// Executes a full consolidated plan (materialized nodes + batch root) with
 /// the selected backend; one result per batched query. `exec` configures the
 /// vectorized engine's pipelines (morsel-parallel threads for scans, join
-/// build/probe and aggregation); the row interpreter is always serial and
-/// ignores it.
+/// build/probe and aggregation) and both engines' segment store; the row
+/// interpreter is always serial and ignores the threading knobs.
 Result<std::vector<NamedRows>> ExecuteConsolidatedWith(
     ExecBackend backend, Memo* memo, const DataSet* data,
     const ConsolidatedPlan& plan, const ExecOptions& exec = {});
 
-/// Same, additionally surfacing the run's cardinality feedback.
+/// Same, additionally surfacing the run's cardinality feedback, store
+/// accounting and per-segment telemetry.
 Result<ExecResult> ExecuteConsolidatedResult(
     ExecBackend backend, Memo* memo, const DataSet* data,
     const ConsolidatedPlan& plan, const ExecOptions& exec = {});

@@ -1,11 +1,8 @@
 #include "vexec/vector_executor.h"
 
-#include <algorithm>
 #include <set>
 
-#include "common/timer.h"
 #include "obs/obs.h"
-#include "storage/segment_cache.h"
 
 namespace mqo {
 
@@ -47,8 +44,8 @@ Result<ColumnBatch> VectorPlanExecutor::ToClassAttrs(EqId eq,
 
 Result<ColumnBatch> VectorPlanExecutor::SideInputBatch(EqId eq) {
   eq = memo_->Find(eq);
-  if (store_.Contains(eq)) {
-    MQO_ASSIGN_OR_RETURN(PinnedSegment pinned, store_.Pin(eq));
+  if (store_ != nullptr && store_->Contains(eq)) {
+    MQO_ASSIGN_OR_RETURN(PinnedSegment pinned, store_->Pin(eq));
     // The COW copy shares the pinned payloads and keeps them alive after
     // the pin drops, even if the store later evicts the segment.
     return ColumnBatch(pinned.batch());
@@ -169,7 +166,9 @@ Result<ColumnBatch> VectorPlanExecutor::RunPipelineFor(const PlanNodePtr& plan,
       }
       case PhysOp::kReadMaterialized: {
         const EqId eq = memo_->Find(cur->eq);
-        auto pinned = store_.Pin(eq);
+        auto pinned = store_ != nullptr
+                          ? store_->Pin(eq)
+                          : Result<PinnedSegment>(Status::NotFound("no store"));
         if (!pinned.ok()) {
           return Status::Internal("materialized node E" + std::to_string(eq) +
                                   " not in store: " +
@@ -417,7 +416,8 @@ Result<ColumnBatch> VectorPlanExecutor::ExecuteBatchRaw(
       return RunPipelineFor(plan->children[0], op);
     }
     case PhysOp::kBatchRoot:
-      return Status::Unimplemented("execute batch roots via ExecuteConsolidated");
+      return Status::Unimplemented(
+          "execute batch roots via ExecuteConsolidatedResult");
     case PhysOp::kTableScan:
     case PhysOp::kIndexScan:
     case PhysOp::kFilter:
@@ -444,40 +444,12 @@ Result<NamedRows> VectorPlanExecutor::Execute(const PlanNodePtr& plan) {
   return rows;
 }
 
-Status VectorPlanExecutor::MaterializeNode(EqId eq,
-                                           const PlanNodePtr& compute_plan) {
-  TraceSpan span(TracerOf(options_.obs), "materialize", "vexec");
-  ScopedTimer metric(MetricsOf(options_.obs), "vexec.materialize_ms");
-  eq = memo_->Find(eq);
-  const uint64_t fp = ClassFingerprint(*memo_, eq, &fingerprints_);
-  if (options_.shared_cache != nullptr) {
-    // Cross-batch semantic cache: a segment another batch materialized for
-    // this structural fingerprint serves this class without recomputation.
-    // The schema guard rejects the (theoretical) case of a fingerprint
-    // collision between classes with different attribute lists.
-    ColumnBatch cached;
-    if (options_.shared_cache->Lookup(fp, &cached) &&
-        cached.names == memo_->Attributes(eq)) {
-      compute_ms_[eq] = 0.0;
-      feedback_.Record(fp, static_cast<double>(cached.num_rows));
-      ++cross_batch_hits_;
-      if (span.active()) {
-        span.AddNum("eq", eq);
-        span.AddNum("rows", static_cast<double>(cached.num_rows));
-        span.AddNum("cross_batch_hit", 1);
-      }
-      return store_.Put(eq, std::move(cached));
-    }
-  }
-  WallTimer timer;
-  // The pipeline sink's merged result goes straight into the store: the
-  // per-morsel chunks were gathered on the workers and concatenated column-
-  // parallel, so no serial whole-result gather happens on this thread.
-  MQO_ASSIGN_OR_RETURN(ColumnBatch batch, ExecuteBatch(compute_plan));
-  compute_ms_[eq] = timer.ElapsedMillis();
-  // Observed cardinality of the shared subexpression, for feedback-driven
-  // re-optimization (same contract as the row engine).
-  feedback_.Record(fp, static_cast<double>(batch.num_rows));
+Result<ColumnBatch> VectorPlanExecutor::ComputeSegment(
+    const PlanNodePtr& plan) {
+  // The pipeline sink's merged result becomes the segment: the per-morsel
+  // chunks were gathered on the workers and concatenated column-parallel,
+  // so no serial whole-result gather happens on this thread.
+  MQO_ASSIGN_OR_RETURN(ColumnBatch batch, ExecuteBatch(plan));
   if (options_.numeric_compression_enabled()) {
     // Compress the segment before it lands: MatStore budget accounting,
     // eviction weights, and spill penalties then see encoded bytes, and
@@ -487,98 +459,7 @@ Status VectorPlanExecutor::MaterializeNode(EqId eq,
       col.BuildZoneMap();
     }
   }
-  if (span.active()) {
-    span.AddNum("eq", eq);
-    span.AddNum("rows", static_cast<double>(batch.num_rows));
-    span.AddNum("bytes", static_cast<double>(batch.ByteSize()));
-  }
-  if (options_.shared_cache != nullptr) {
-    // Publish for later batches (COW copy: shares payloads, no deep copy).
-    // First writer wins; losing the race or failing admission is harmless.
-    auto reads = expected_reads_.find(eq);
-    options_.shared_cache->Insert(
-        fp, ColumnBatch(batch), ClassBaseTables(*memo_, eq),
-        reads == expected_reads_.end() ? 0.0 : reads->second);
-  }
-  return store_.Put(eq, std::move(batch));
-}
-
-Result<std::vector<NamedRows>> VectorPlanExecutor::ExecuteConsolidated(
-    const ConsolidatedPlan& plan) {
-  TraceSpan batch_span(TracerOf(options_.obs), "execute_consolidated", "vexec");
-  if (batch_span.active()) {
-    batch_span.AddNum("materialized",
-                      static_cast<double>(plan.materialized.size()));
-    batch_span.AddNum("queries",
-                      static_cast<double>(plan.root_plan->children.size()));
-  }
-  feedback_.clear();
-  compute_ms_.clear();
-  expected_reads_.clear();
-  cross_batch_hits_ = 0;
-  // Seed eviction weights (reads still ahead of each segment) before any
-  // segment lands, as the row executor does.
-  for (const auto& [eq, reads] : ExpectedSegmentReads(*memo_, plan)) {
-    store_.SetExpectedReads(eq, reads);
-    expected_reads_[eq] = reads;
-  }
-  // Materialize chosen nodes children-first, as the row executor does.
-  std::vector<EqId> topo = memo_->TopologicalClasses();
-  auto position = [&](EqId e) {
-    e = memo_->Find(e);
-    for (size_t i = 0; i < topo.size(); ++i) {
-      if (topo[i] == e) return i;
-    }
-    return topo.size();
-  };
-  std::vector<const ConsolidatedPlan::MatNode*> ordered;
-  for (const auto& m : plan.materialized) ordered.push_back(&m);
-  std::sort(ordered.begin(), ordered.end(),
-            [&](const ConsolidatedPlan::MatNode* a,
-                const ConsolidatedPlan::MatNode* b) {
-              return position(a->eq) < position(b->eq);
-            });
-  for (const auto* m : ordered) {
-    MQO_RETURN_NOT_OK(MaterializeNode(m->eq, m->compute_plan));
-  }
-  if (plan.root_plan->op != PhysOp::kBatchRoot) {
-    return Status::InvalidArgument("root plan is not a batch root");
-  }
-  std::vector<NamedRows> results;
-  for (const auto& child : plan.root_plan->children) {
-    TraceSpan query_span(TracerOf(options_.obs), "query", "vexec");
-    MQO_ASSIGN_OR_RETURN(NamedRows rows, Execute(child));
-    if (query_span.active()) {
-      query_span.AddNum("index", static_cast<double>(results.size()));
-      query_span.AddNum("rows", static_cast<double>(rows.rows.size()));
-    }
-    results.push_back(std::move(rows));
-  }
-  return results;
-}
-
-std::vector<SegmentRuntime> VectorPlanExecutor::SegmentRuntimes() const {
-  std::vector<SegmentRuntime> out;
-  for (const auto& [key, t] : store_.Telemetry()) {
-    const EqId eq = static_cast<EqId>(key);
-    SegmentRuntime r;
-    r.eq = eq;
-    auto fp = fingerprints_.find(eq);
-    if (fp != fingerprints_.end()) r.fingerprint = fp->second;
-    r.actual_rows = t.rows;
-    auto cm = compute_ms_.find(eq);
-    if (cm != compute_ms_.end()) r.compute_ms = cm->second;
-    r.reads = t.reads;
-    r.reloads = t.reloads;
-    r.bytes = static_cast<int64_t>(t.bytes);
-    r.ever_spilled = t.ever_spilled;
-    out.push_back(r);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const SegmentRuntime& a, const SegmentRuntime& b) {
-              return a.eq < b.eq;
-            });
-  return out;
+  return batch;
 }
 
 }  // namespace mqo

@@ -10,6 +10,7 @@
 #include "exec/row_ops.h"
 #include "lqdag/rules.h"
 #include "mqo/mqo_algorithms.h"
+#include "vexec/backend.h"
 #include "workload/example1.h"
 #include "workload/tpcd_queries.h"
 
@@ -58,8 +59,8 @@ void CheckWorkload(const Catalog& catalog, Memo* memo, const DataGenOptions& gen
 
   for (const auto& mat : mat_sets) {
     ConsolidatedPlan plan = optimizer.Plan(mat);
-    PlanExecutor executor(memo, &data);
-    auto executed = executor.ExecuteConsolidated(plan);
+    auto executed = ExecuteConsolidatedWith(ExecBackend::kRow, memo, &data,
+                                            plan);
     ASSERT_TRUE(executed.ok()) << executed.status().ToString();
     const auto& results = executed.ValueOrDie();
     ASSERT_EQ(results.size(), roots.size());

@@ -13,7 +13,6 @@
 #include "catalog/tpcd.h"
 #include "common/hash.h"
 #include "exec/evaluator.h"
-#include "exec/plan_executor.h"
 #include "exec/row_ops.h"
 #include "lqdag/rules.h"
 #include "mqo/facade.h"
@@ -24,7 +23,7 @@
 #include "stats/sketch.h"
 #include "stats/table_stats.h"
 #include "storage/morsel.h"
-#include "vexec/vector_executor.h"
+#include "vexec/backend.h"
 #include "vexec/vector_ops.h"
 #include "workload/example1.h"
 #include "workload/tpcd_queries.h"
@@ -436,17 +435,35 @@ TEST(FeedbackTest, BothEnginesRecordIdenticalObservations) {
   ASSERT_FALSE(result.materialized.empty());
   ConsolidatedPlan plan = optimizer.Plan(result.materialized);
 
-  PlanExecutor row(&memo, &data);
-  VectorPlanExecutor vec(&memo, &data);
-  ASSERT_TRUE(row.ExecuteConsolidated(plan).ok());
-  ASSERT_TRUE(vec.ExecuteConsolidated(plan).ok());
-  EXPECT_EQ(row.feedback().size(), result.materialized.size());
-  ASSERT_EQ(row.feedback().size(), vec.feedback().size());
-  for (const auto& [fp, rows] : row.feedback().observations()) {
-    const double* other = vec.feedback().Find(fp);
+  auto row_run =
+      ExecuteConsolidatedResult(ExecBackend::kRow, &memo, &data, plan);
+  auto vec_run =
+      ExecuteConsolidatedResult(ExecBackend::kVector, &memo, &data, plan);
+  ASSERT_TRUE(row_run.ok()) << row_run.status().ToString();
+  ASSERT_TRUE(vec_run.ok()) << vec_run.status().ToString();
+  const ExecResult& row = row_run.ValueOrDie();
+  const ExecResult& vec = vec_run.ValueOrDie();
+  EXPECT_EQ(row.feedback.size(), result.materialized.size());
+  ASSERT_EQ(row.feedback.size(), vec.feedback.size());
+  for (const auto& [fp, rows] : row.feedback.observations()) {
+    const double* other = vec.feedback.Find(fp);
     ASSERT_NE(other, nullptr);
     EXPECT_DOUBLE_EQ(rows, *other);
   }
+  // One materialization driver serves both engines: the same segments, read
+  // the same number of times, through the same store traffic.
+  ASSERT_EQ(row.segments.size(), vec.segments.size());
+  for (size_t i = 0; i < row.segments.size(); ++i) {
+    const SegmentRuntime& r = row.segments[i];
+    const SegmentRuntime& v = vec.segments[i];
+    EXPECT_EQ(r.eq, v.eq);
+    EXPECT_EQ(r.fingerprint, v.fingerprint) << "E" << r.eq;
+    EXPECT_EQ(r.actual_rows, v.actual_rows) << "E" << r.eq;
+    EXPECT_EQ(r.reads, v.reads) << "E" << r.eq;
+  }
+  EXPECT_EQ(row.store_stats.puts, vec.store_stats.puts);
+  EXPECT_EQ(row.store_stats.gets, vec.store_stats.gets);
+  EXPECT_EQ(row.cross_batch_hits, vec.cross_batch_hits);
 }
 
 TEST(FeedbackTest, ObservedRowsOverrideEstimatesAndShrinkFootprints) {
@@ -464,16 +481,18 @@ TEST(FeedbackTest, ObservedRowsOverrideEstimatesAndShrinkFootprints) {
   MqoResult result = RunGreedy(&problem);
   ASSERT_FALSE(result.materialized.empty());
   ConsolidatedPlan plan = before.Plan(result.materialized);
-  VectorPlanExecutor executor(&memo, &data);
-  ASSERT_TRUE(executor.ExecuteConsolidated(plan).ok());
+  auto executed =
+      ExecuteConsolidatedResult(ExecBackend::kVector, &memo, &data, plan);
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
+  const CardinalityFeedback& feedback = executed.ValueOrDie().feedback;
 
   BatchOptimizerOptions with_feedback;
-  with_feedback.stats.feedback = &executor.feedback();
+  with_feedback.stats.feedback = &feedback;
   BatchOptimizer after(&memo, CostModel(), with_feedback);
   std::unordered_map<EqId, uint64_t> cache;
   for (EqId e : result.materialized) {
     const double* observed =
-        executor.feedback().Find(ClassFingerprint(memo, e, &cache));
+        feedback.Find(ClassFingerprint(memo, e, &cache));
     ASSERT_NE(observed, nullptr);
     // The re-seeded estimator reports exactly the observed cardinality...
     EXPECT_DOUBLE_EQ(after.stats()->ClassStats(e).rows,

@@ -1277,30 +1277,32 @@ TEST(VexecBudgetTest, TinyBudgetForcesSpillsWithoutChangingResults) {
   ASSERT_FALSE(result.materialized.empty());
   ConsolidatedPlan plan = optimizer.Plan(result.materialized);
 
-  VectorPlanExecutor unlimited(&memo, &data);
-  auto base = unlimited.ExecuteConsolidated(plan);
+  auto base = ExecuteConsolidatedResult(ExecBackend::kVector, &memo, &data,
+                                        plan);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   if (std::getenv("MQO_MAT_BUDGET_BYTES") == nullptr) {
     // Skip under the CI budget-spill job, which forces a budget on every
-    // executor-owned store via the environment.
-    EXPECT_EQ(unlimited.store().stats().evictions, 0);
+    // run's store via the environment.
+    EXPECT_EQ(base.ValueOrDie().store_stats.evictions, 0);
   }
 
   ExecOptions exec;
   exec.mat_budget_bytes = 1;
-  VectorPlanExecutor budgeted(&memo, &data, exec);
-  auto spilled = budgeted.ExecuteConsolidated(plan);
+  auto spilled = ExecuteConsolidatedResult(ExecBackend::kVector, &memo, &data,
+                                           plan, exec);
   ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-  const MatStoreStats& stats = budgeted.store().stats();
+  const MatStoreStats& stats = spilled.ValueOrDie().store_stats;
   EXPECT_GT(stats.evictions, 0);
   EXPECT_GT(stats.reloads, 0);
   EXPECT_GT(stats.bytes_spilled, 0u);
   // At most the last reloaded segment may still sit resident (a reload
   // stays over budget until the next enforcement point).
-  EXPECT_LE(budgeted.store().bytes_used(), stats.bytes_reloaded);
-  ASSERT_EQ(base.ValueOrDie().size(), spilled.ValueOrDie().size());
-  for (size_t q = 0; q < base.ValueOrDie().size(); ++q) {
-    ExpectSameRows(base.ValueOrDie()[q], spilled.ValueOrDie()[q],
+  EXPECT_LE(spilled.ValueOrDie().store_bytes, stats.bytes_reloaded);
+  const auto& base_rows = base.ValueOrDie().results;
+  const auto& spilled_rows = spilled.ValueOrDie().results;
+  ASSERT_EQ(base_rows.size(), spilled_rows.size());
+  for (size_t q = 0; q < base_rows.size(); ++q) {
+    ExpectSameRows(base_rows[q], spilled_rows[q],
                    "budgeted q" + std::to_string(q));
   }
 }
